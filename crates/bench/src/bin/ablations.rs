@@ -11,14 +11,14 @@
 //!    §3.2.3 approximation.
 //!
 //! Scores are computed once per (item, scorer) and the thresholds swept
-//! over the cached vectors, replicating the DetectorRunner's
-//! threshold+persistence semantics.
+//! over the cached vectors through the pipeline's own
+//! [`Persistence`] rule.
 //!
 //! Env knobs: FUNNEL_SEED (held-out default 77), FUNNEL_CHANGES (default 36).
 
 use funnel_bench::pct;
 use funnel_detect::sst_adapter::SstDetector;
-use funnel_detect::WindowScorer;
+use funnel_detect::{Persistence, WindowScorer};
 use funnel_eval::confusion::ConfusionMatrix;
 use funnel_eval::methods::{Method, MethodRunner};
 use funnel_sim::scenario::{evaluation_world, CohortMeta};
@@ -74,21 +74,16 @@ fn score_item(scorer: &dyn Fn(&[f64]) -> f64, w: usize, item: &Item) -> (Vec<f64
     (scores, first_valid)
 }
 
-/// DetectorRunner-equivalent prediction: a run of `persistence` scores
-/// >= threshold whose last window decides at/after the change minute.
+/// The pipeline's prediction: fold the scores through the persistence rule
+/// (window index = decision minute) and report whether a change is declared
+/// at or after the change minute, as `Funnel::detect` does.
 fn predict(scores: &[f64], first_valid: usize, threshold: f64, persistence: usize) -> bool {
-    let mut run = 0usize;
-    for (i, &s) in scores.iter().enumerate() {
-        if s >= threshold {
-            run += 1;
-            if run >= persistence && i >= first_valid {
-                return true;
-            }
-        } else {
-            run = 0;
-        }
-    }
-    false
+    let mut rule = Persistence::new(threshold, persistence);
+    scores
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &s)| rule.observe(i as u64, s))
+        .any(|e| e.declared_at >= first_valid as u64)
 }
 
 fn sweep(items: &[(bool, Vec<f64>, usize)], threshold: f64, persistence: usize) -> ConfusionMatrix {

@@ -19,9 +19,12 @@
 //!
 //! Two driving modes are provided: [`pipeline::Funnel::assess_change`] runs
 //! the batch assessment the paper's evaluation uses, and
-//! [`online::OnlinePipeline`] consumes a live measurement subscription from
-//! the metric store, scoring every KPI minute by minute — the deployment
-//! mode of §5.
+//! [`stream::StreamEngine`] ingests measurements tick by tick into bounded
+//! per-KPI rings, scoring every KPI minute by minute and completing each
+//! tracked change when its assessment window closes — the deployment mode
+//! of §5. Both declare changes through the same
+//! [`funnel_detect::Persistence`] rule, and a streamed verdict is
+//! byte-identical to the batch one.
 //!
 //! The batch mode fans its per-KPI work units across a configurable worker
 //! pool ([`config::AssessConfig`], [`parallel`]) with a deterministic
@@ -45,8 +48,6 @@
 
 pub mod config;
 pub mod diagnose;
-pub mod online;
-pub mod online_assess;
 pub mod parallel;
 pub mod pipeline;
 pub mod quality;

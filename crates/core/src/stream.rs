@@ -59,6 +59,7 @@ use crate::quality::{QualityIssue, QualityReport};
 use crate::source::KpiSource;
 use crate::supervise::splitmix64;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use funnel_detect::Persistence;
 use funnel_diag::DiagReport;
 use funnel_obs::names;
 use funnel_sim::kpi::{KpiKey, KpiKind};
@@ -263,22 +264,16 @@ struct KeyMonitor {
     /// Cleared when a backfill rewrites folded history: the next scoring
     /// pass resets the rolling window and re-primes from the ring.
     primed: bool,
-    run_len: usize,
-    run_start: MinuteBin,
-    run_peak: f64,
-    armed: bool,
+    rule: Persistence,
 }
 
 impl KeyMonitor {
-    fn new(scorer: FastSst, start: MinuteBin) -> Self {
+    fn new(scorer: FastSst, start: MinuteBin, rule: Persistence) -> Self {
         Self {
             sst: StreamingSst::new(scorer),
             next_minute: start,
             primed: true,
-            run_len: 0,
-            run_start: 0,
-            run_peak: 0.0,
-            armed: true,
+            rule,
         }
     }
 }
@@ -405,16 +400,12 @@ fn score_key(
     monitor: &mut KeyMonitor,
     ring: &RingSeries,
     plan: &ScorePlan,
-    threshold: f64,
-    persistence: usize,
     key: KpiKey,
 ) -> (u64, Vec<StreamDetection>) {
     let mut detections = Vec::new();
     if plan.reprime {
         monitor.sst.reset();
-        monitor.run_len = 0;
-        monitor.run_peak = 0.0;
-        monitor.armed = true;
+        monitor.rule.reset();
     }
     let mut folds = 0u64;
     let mut minute = plan.lo;
@@ -426,28 +417,17 @@ fn score_key(
             continue;
         };
         folds += 1;
-        if let Some(score) = monitor.sst.fold(value) {
-            if score >= threshold {
-                if monitor.run_len == 0 {
-                    monitor.run_start = minute;
-                    monitor.run_peak = score;
-                } else {
-                    monitor.run_peak = monitor.run_peak.max(score);
-                }
-                monitor.run_len += 1;
-                if monitor.armed && monitor.run_len >= persistence {
-                    monitor.armed = false;
-                    detections.push(StreamDetection {
-                        key,
-                        declared_at: minute,
-                        first_exceeded_at: monitor.run_start,
-                        peak_score: monitor.run_peak,
-                    });
-                }
-            } else {
-                monitor.run_len = 0;
-                monitor.armed = true;
-            }
+        if let Some(event) = monitor
+            .sst
+            .fold(value)
+            .and_then(|score| monitor.rule.observe(minute, score))
+        {
+            detections.push(StreamDetection {
+                key,
+                declared_at: event.declared_at,
+                first_exceeded_at: event.first_exceeded_at,
+                peak_score: event.peak_score,
+            });
         }
         minute += 1;
     }
@@ -716,7 +696,9 @@ impl StreamEngine {
     /// Plans the fold range for every dirty key (and creates missing
     /// monitors). Pure bookkeeping; no scoring happens here.
     fn plan_scoring(&mut self, minute: MinuteBin) -> BTreeMap<KpiKey, ScorePlan> {
-        let window = self.funnel.config().sst.window_len() as u64;
+        let config = self.funnel.config();
+        let window = config.sst.window_len() as u64;
+        let rule = Persistence::new(config.sst_threshold, config.persistence_minutes);
         let scorer = self.funnel.scorer().clone();
         let mut plans = BTreeMap::new();
         let mut clean = Vec::new();
@@ -728,7 +710,7 @@ impl StreamEngine {
             let monitor = self
                 .monitors
                 .entry(key)
-                .or_insert_with(|| KeyMonitor::new(scorer.clone(), ring.start()));
+                .or_insert_with(|| KeyMonitor::new(scorer.clone(), ring.start(), rule.clone()));
             let to = ring.end().min(minute + 1);
             let (lo, reprime) = if monitor.primed {
                 (monitor.next_minute.max(ring.start()), false)
@@ -841,8 +823,6 @@ impl StreamEngine {
         if admitted.is_empty() {
             return (0, Vec::new());
         }
-        let threshold = self.funnel.config().sst_threshold;
-        let persistence = self.funnel.config().persistence_minutes;
         let workers = self.config.workers.clamp(1, admitted.len());
         funnel_obs::timeline_histogram_record(
             names::STREAM_QUEUE_DEPTH,
@@ -871,7 +851,7 @@ impl StreamEngine {
             for (idx, key, monitor, plan) in jobs {
                 let ring = rings.get(&key);
                 let Some(ring) = ring else { continue };
-                let (f, dets) = score_key(monitor, ring, plan, threshold, persistence, key);
+                let (f, dets) = score_key(monitor, ring, plan, key);
                 folds += f;
                 per_key.push((idx, dets));
             }
@@ -892,8 +872,7 @@ impl StreamEngine {
                             let Some(ring) = rings.get(&key) else {
                                 continue;
                             };
-                            let (f, dets) =
-                                score_key(monitor, ring, plan, threshold, persistence, key);
+                            let (f, dets) = score_key(monitor, ring, plan, key);
                             if results.send((idx, f, dets)).is_err() {
                                 break;
                             }

@@ -2,10 +2,12 @@
 //!
 //! Every method in the paper's evaluation "took a time window of x(i), …,
 //! x(i+W) as its input" and "the time window moves forward every minute"
-//! (§4.1). [`WindowScorer`] is that pure function; [`DetectorRunner`] adds
-//! the operational policy: a declaration threshold, the 7-minute persistence
+//! (§4.1). [`WindowScorer`] is that pure function; [`Persistence`] is the
+//! operational policy: a declaration threshold, the 7-minute persistence
 //! rule that separates level shifts and ramps from one-off events, and
 //! re-arming so that one behaviour change produces one event.
+//! [`DetectorRunner`] slides a scorer over a series and folds every window
+//! through that rule.
 
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::{MinuteBin, TimeSeries};
@@ -70,29 +72,34 @@ impl MaskedRun {
     }
 }
 
-/// Threshold + persistence + re-arm driver around a [`WindowScorer`].
-#[derive(Debug, Clone)]
-pub struct DetectorRunner<S> {
-    scorer: S,
+/// The paper's persistence rule as one state machine (§4.1): a change is
+/// declared once the score has stayed at or above the threshold for
+/// `persistence` consecutive windows. After a declaration the rule stays
+/// disarmed until the score dips below threshold, so one behaviour change
+/// yields one event. Every detector path — batch, coverage-masked and
+/// streaming — folds its scores through this type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Persistence {
     threshold: f64,
     persistence: usize,
+    run_len: usize,
+    run_start: MinuteBin,
+    run_peak: f64,
+    armed: bool,
 }
 
-impl<S: WindowScorer> DetectorRunner<S> {
-    /// Creates a runner declaring a change after `persistence` consecutive
-    /// windows score at or above `threshold`. `persistence` is clamped to a
-    /// minimum of 1.
-    pub fn new(scorer: S, threshold: f64, persistence: usize) -> Self {
+impl Persistence {
+    /// A rule declaring after `persistence` consecutive windows at or above
+    /// `threshold`. `persistence` is clamped to a minimum of 1.
+    pub fn new(threshold: f64, persistence: usize) -> Self {
         Self {
-            scorer,
             threshold,
             persistence: persistence.max(1),
+            run_len: 0,
+            run_start: 0,
+            run_peak: 0.0,
+            armed: true,
         }
-    }
-
-    /// The wrapped scorer.
-    pub fn scorer(&self) -> &S {
-        &self.scorer
     }
 
     /// The declaration threshold.
@@ -105,40 +112,90 @@ impl<S: WindowScorer> DetectorRunner<S> {
         self.persistence
     }
 
+    /// Folds the score of the window deciding at `minute`; returns the
+    /// declaration when this window completes an armed run. A score below
+    /// threshold (or NaN) ends the run and re-arms the rule.
+    #[inline]
+    pub fn observe(&mut self, minute: MinuteBin, score: f64) -> Option<ChangeEvent> {
+        if score >= self.threshold {
+            if self.run_len == 0 {
+                self.run_start = minute;
+                self.run_peak = score;
+            } else {
+                self.run_peak = self.run_peak.max(score);
+            }
+            self.run_len += 1;
+            if self.armed && self.run_len >= self.persistence {
+                self.armed = false;
+                return Some(ChangeEvent {
+                    declared_at: minute,
+                    first_exceeded_at: self.run_start,
+                    peak_score: self.run_peak,
+                });
+            }
+        } else {
+            self.reset();
+        }
+        None
+    }
+
+    /// Breaks the run in progress without re-arming: a window that could
+    /// not be scored is not evidence that a declared shift ended, so the
+    /// shift resuming after the gap declares nothing new.
+    #[inline]
+    pub fn gap(&mut self) {
+        self.run_len = 0;
+    }
+
+    /// Clears any half-built run and re-arms the rule.
+    #[inline]
+    pub fn reset(&mut self) {
+        self.run_len = 0;
+        self.armed = true;
+    }
+}
+
+/// Threshold + persistence + re-arm driver around a [`WindowScorer`].
+#[derive(Debug, Clone)]
+pub struct DetectorRunner<S> {
+    scorer: S,
+    rule: Persistence,
+}
+
+impl<S: WindowScorer> DetectorRunner<S> {
+    /// Creates a runner declaring a change after `persistence` consecutive
+    /// windows score at or above `threshold` (see [`Persistence::new`]).
+    pub fn new(scorer: S, threshold: f64, persistence: usize) -> Self {
+        Self {
+            scorer,
+            rule: Persistence::new(threshold, persistence),
+        }
+    }
+
+    /// The wrapped scorer.
+    pub fn scorer(&self) -> &S {
+        &self.scorer
+    }
+
+    /// The declaration threshold.
+    pub fn threshold(&self) -> f64 {
+        self.rule.threshold()
+    }
+
+    /// The persistence requirement in windows (= minutes at 1-min bins).
+    pub fn persistence(&self) -> usize {
+        self.rule.persistence()
+    }
+
     /// Runs the detector over a whole series, returning every declared
     /// change. After a declaration the runner re-arms once the score falls
     /// below threshold, so a single long-lived shift yields a single event.
     pub fn run(&self, series: &TimeSeries) -> Vec<ChangeEvent> {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_DETECT);
-        let mut events = Vec::new();
-        let mut run_len = 0usize;
-        let mut run_start: MinuteBin = 0;
-        let mut run_peak = 0.0f64;
-        let mut armed = true;
-
-        for w in SlidingWindows::new(series, self.scorer.window_len()) {
-            let s = self.scorer.score(w.values);
-            if s >= self.threshold {
-                if run_len == 0 {
-                    run_start = w.decision_minute;
-                    run_peak = s;
-                } else {
-                    run_peak = run_peak.max(s);
-                }
-                run_len += 1;
-                if armed && run_len >= self.persistence {
-                    events.push(ChangeEvent {
-                        declared_at: w.decision_minute,
-                        first_exceeded_at: run_start,
-                        peak_score: run_peak,
-                    });
-                    armed = false;
-                }
-            } else {
-                run_len = 0;
-                armed = true;
-            }
-        }
+        let mut rule = self.rule.clone();
+        let events: Vec<ChangeEvent> = SlidingWindows::new(series, self.scorer.window_len())
+            .filter_map(|w| rule.observe(w.decision_minute, self.scorer.score(w.values)))
+            .collect();
         funnel_obs::counter_add(funnel_obs::names::DETECT_CHANGE_POINTS, events.len() as u64);
         events
     }
@@ -148,10 +205,10 @@ impl<S: WindowScorer> DetectorRunner<S> {
     /// skipped instead of scored — forward-filled gaps carry no evidence,
     /// and scoring them manufactures both false positives (a fill plateau
     /// looks like a level shift ending) and false negatives (a real shift
-    /// hidden inside a gap). Skipping a window also resets the persistence
-    /// run, so a declaration always rests on `persistence` consecutive
-    /// *measured* windows. With a fully-present mask the events are
-    /// identical to [`DetectorRunner::run`].
+    /// hidden inside a gap). A skipped window breaks the persistence run
+    /// ([`Persistence::gap`]), so a declaration always rests on
+    /// `persistence` consecutive *measured* windows. With a fully-present
+    /// mask the events are identical to [`DetectorRunner::run`].
     pub fn run_masked(
         &self,
         series: &TimeSeries,
@@ -176,43 +233,17 @@ impl<S: WindowScorer> DetectorRunner<S> {
             total_windows: 0,
             suppressed_events: 0,
         };
-        let mut run_len = 0usize;
-        let mut run_start: MinuteBin = 0;
-        let mut run_peak = 0.0f64;
-        let mut armed = true;
-
+        let mut rule = self.rule.clone();
         for w in SlidingWindows::new(series, width) {
             out.total_windows += 1;
             let first_minute = w.decision_minute + 1 - width as u64;
             if coverage_of(first_minute, w.decision_minute + 1) < min_coverage {
                 out.skipped_windows += 1;
-                // Too much interpolation to score; the persistence run is
-                // broken, but a declared event stays declared (no re-arm —
-                // a gap is not evidence the shift ended).
-                run_len = 0;
+                rule.gap();
                 continue;
             }
-            let s = self.scorer.score(w.values);
-            if s >= self.threshold {
-                if run_len == 0 {
-                    run_start = w.decision_minute;
-                    run_peak = s;
-                } else {
-                    run_peak = run_peak.max(s);
-                }
-                run_len += 1;
-                if armed && run_len >= self.persistence {
-                    out.events.push(ChangeEvent {
-                        declared_at: w.decision_minute,
-                        first_exceeded_at: run_start,
-                        peak_score: run_peak,
-                    });
-                    armed = false;
-                }
-            } else {
-                run_len = 0;
-                armed = true;
-            }
+            out.events
+                .extend(rule.observe(w.decision_minute, self.scorer.score(w.values)));
         }
         funnel_obs::counter_add(
             funnel_obs::names::DETECT_CHANGE_POINTS,
@@ -264,37 +295,6 @@ impl<S: WindowScorer> DetectorRunner<S> {
             out.suppressed_events as u64,
         );
         out
-    }
-
-    /// Convenience: whether the series contains at least one declared
-    /// change, and if so the first event.
-    pub fn first_change(&self, series: &TimeSeries) -> Option<ChangeEvent> {
-        // Early-exit variant of `run` (stops at the first declaration).
-        let mut run_len = 0usize;
-        let mut run_start: MinuteBin = 0;
-        let mut run_peak = 0.0f64;
-        for w in SlidingWindows::new(series, self.scorer.window_len()) {
-            let s = self.scorer.score(w.values);
-            if s >= self.threshold {
-                if run_len == 0 {
-                    run_start = w.decision_minute;
-                    run_peak = s;
-                } else {
-                    run_peak = run_peak.max(s);
-                }
-                run_len += 1;
-                if run_len >= self.persistence {
-                    return Some(ChangeEvent {
-                        declared_at: w.decision_minute,
-                        first_exceeded_at: run_start,
-                        peak_score: run_peak,
-                    });
-                }
-            } else {
-                run_len = 0;
-            }
-        }
-        None
     }
 }
 
@@ -375,12 +375,104 @@ mod tests {
     }
 
     #[test]
-    fn first_change_matches_run() {
-        let series = step_series(10, 20);
-        let r = DetectorRunner::new(MeanScorer, 0.5, 7);
-        assert_eq!(r.first_change(&series), r.run(&series).first().copied());
+    fn quiet_series_declares_nothing() {
         let quiet = TimeSeries::new(0, vec![0.0; 30]);
-        assert_eq!(r.first_change(&quiet), None);
+        let r = DetectorRunner::new(MeanScorer, 0.5, 7);
+        assert!(r.run(&quiet).is_empty());
+    }
+
+    #[test]
+    fn persistence_rule_table() {
+        // Steps are space-separated; step i happens at minute i. A number
+        // is the score of the window deciding at that minute, `gap` a
+        // window that could not be scored, `reset` a re-prime. Expected
+        // events are (declared_at, first_exceeded_at, peak_score).
+        type Case<'a> = (&'a str, usize, &'a str, &'a [(u64, u64, f64)]);
+        let cases: &[Case] = &[
+            (
+                "declares at exactly `persistence` windows; first/peak span the run",
+                3,
+                "0.2 0.6 0.9 0.7 0.95",
+                &[(3, 1, 0.9)],
+            ),
+            (
+                "a dip re-arms",
+                2,
+                "1 1 0.1 1 1",
+                &[(1, 0, 1.0), (4, 3, 1.0)],
+            ),
+            ("a NaN score is a dip", 2, "1 NaN 1", &[]),
+            (
+                "a gap breaks a half-built run",
+                3,
+                "1 1 gap 1 1 1",
+                &[(5, 3, 1.0)],
+            ),
+            (
+                "a gap does not re-arm: one shift across a skipped window, one event",
+                2,
+                "1 1 gap 1 1 1",
+                &[(1, 0, 1.0)],
+            ),
+            (
+                "reset clears a half-built run",
+                3,
+                "1 1 reset 1 0.8 1",
+                &[(5, 3, 1.0)],
+            ),
+            (
+                "reset re-arms after a declaration",
+                1,
+                "1 1 reset 1",
+                &[(0, 0, 1.0), (3, 3, 1.0)],
+            ),
+            (
+                "persistence 0 is clamped to 1",
+                0,
+                "0.1 0.5",
+                &[(1, 1, 0.5)],
+            ),
+        ];
+        for &(name, persistence, steps, expected) in cases {
+            let mut rule = Persistence::new(0.5, persistence);
+            let mut got = Vec::new();
+            for (minute, step) in (0..).zip(steps.split(' ')) {
+                match step {
+                    "gap" => rule.gap(),
+                    "reset" => rule.reset(),
+                    score => got.extend(rule.observe(minute, score.parse().unwrap())),
+                }
+            }
+            let expected: Vec<ChangeEvent> = expected
+                .iter()
+                .map(
+                    |&(declared_at, first_exceeded_at, peak_score)| ChangeEvent {
+                        declared_at,
+                        first_exceeded_at,
+                        peak_score,
+                    },
+                )
+                .collect();
+            assert_eq!(got, expected, "{name}");
+        }
+    }
+
+    #[test]
+    fn skipped_window_inside_a_declared_shift_does_not_refire() {
+        // Step at minute 10, declared well before a 2-minute hole at
+        // 26..28: the run breaks across the skipped windows but the shift
+        // stays declared.
+        let series = step_series(10, 30);
+        let mut holed = CoverageMask::new(0);
+        for minute in 0..series.len() as u64 {
+            if !(26..28).contains(&minute) {
+                holed.mark(minute);
+            }
+        }
+        let r = DetectorRunner::new(MeanScorer, 0.5, 3);
+        let degraded = r.run_masked(&series, &holed, 0.95);
+        assert!(degraded.skipped_windows > 0);
+        assert_eq!(degraded.events, r.run(&series));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! baselines FUNNEL is evaluated against.
 //!
 //! * [`detector`] — [`WindowScorer`] (a pure window → score function),
-//!   [`DetectorRunner`] (threshold + persistence + re-arm logic), and
-//!   [`ChangeEvent`].
+//!   [`Persistence`] (the threshold + persistence + re-arm state machine
+//!   every detection path shares), [`DetectorRunner`] (slides a scorer over
+//!   a series through that rule), and [`ChangeEvent`].
 //! * [`sst_adapter`] — wraps the `funnel-sst` scorers as [`WindowScorer`]s.
 //! * [`cusum`] — the CUmulative SUM detector used by MERCURY
 //!   (SIGCOMM 2010), the paper's "long detection delay" baseline.
@@ -24,14 +25,12 @@ pub mod delay;
 pub mod detector;
 pub mod mrls;
 pub mod sst_adapter;
-pub mod wow;
 
 pub use cusum::CusumDetector;
 pub use delay::{detection_delay, DelayOutcome};
-pub use detector::{ChangeEvent, DetectorRunner, MaskedRun, WindowScorer};
+pub use detector::{ChangeEvent, DetectorRunner, MaskedRun, Persistence, WindowScorer};
 pub use mrls::{MrlsDetector, ScaleAggregation};
 pub use sst_adapter::SstDetector;
-pub use wow::WowDetector;
 
 /// Sliding-window width used for FUNNEL in the paper's evaluation (§4.1).
 pub const W_FUNNEL: usize = 34;
