@@ -23,7 +23,6 @@ use funnel_detect::sst_adapter::SstDetector;
 use funnel_diag::{
     diagnose_change, ChangeInput, ControlMember, DetectionInput, DiagReport, ItemInput, ItemVerdict,
 };
-use funnel_did::cache::ControlCache;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_timeseries::series::MinuteBin;
 use funnel_timeseries::window::SlidingWindows;
@@ -32,6 +31,7 @@ use funnel_topology::change::SoftwareChange;
 use funnel_topology::impact::{Entity, ImpactSet};
 use funnel_topology::model::Topology;
 use funnel_topology::ZoneMap;
+use std::collections::BTreeMap;
 
 impl Funnel {
     /// Diagnoses a finished assessment: explains every `Caused` (and, when
@@ -79,9 +79,9 @@ pub(crate) fn diagnose_assessment(
     let cfg = &funnel.config().diagnose;
     let period = funnel.config().did.period_minutes;
     // Dark-launch control pools are shared by every item at one
-    // (entity level, KPI kind), exactly as in the DiD contrast — memoize
-    // the member fetch the same way.
-    let mut pools: ControlCache<(u8, KpiKind), Vec<ControlMember>> = ControlCache::new();
+    // (entity level, KPI kind), exactly as in the DiD contrast — fetch each
+    // pool's members once.
+    let mut pools: BTreeMap<(u8, KpiKind), Vec<ControlMember>> = BTreeMap::new();
 
     let selected = items.iter().filter(|item| {
         item.verdict.is_caused() || (cfg.include_inconclusive && item.verdict.is_inconclusive())
@@ -127,7 +127,7 @@ fn build_item_input(
     change: &SoftwareChange,
     impact_set: &ImpactSet,
     item: &ItemAssessment,
-    pools: &mut ControlCache<(u8, KpiKind), Vec<ControlMember>>,
+    pools: &mut BTreeMap<(u8, KpiKind), Vec<ControlMember>>,
     period: u64,
 ) -> Option<ItemInput> {
     let key = item.key;
@@ -155,8 +155,9 @@ fn build_item_input(
     let (treated_pre, treated_pre_coverage) =
         treated_pre_samples(source, impact_set, key, pre_from, change.minute);
     let control_members = match item.mode {
-        AssessmentMode::DarkLaunchControl => {
-            let group = pools.get_or_insert_with((control_level(key.entity), key.kind), || {
+        AssessmentMode::DarkLaunchControl => pools
+            .entry((control_level(key.entity), key.kind))
+            .or_insert_with(|| {
                 control_keys_for(impact_set, key)
                     .iter()
                     .filter_map(|k| {
@@ -168,9 +169,8 @@ fn build_item_input(
                         })
                     })
                     .collect()
-            });
-            (*group).clone()
-        }
+            })
+            .clone(),
         AssessmentMode::SeasonalHistory => {
             let mut members = Vec::new();
             for d in 1..=funnel.config().history_days as u64 {

@@ -8,23 +8,28 @@
 //! independent of every other, so the batch pipeline is embarrassingly
 //! parallel. This module supplies the harness:
 //!
-//! * **Fan-out** — a fixed pool of `workers` threads
-//!   ([`AssessConfig::workers`](crate::config::AssessConfig)) pulls
-//!   `(index, key)` jobs from one crossbeam MPMC channel. No work stealing,
-//!   no runtime: plain scoped threads, per the workspace threading policy.
+//! * **Fan-out** — `fan_out` is the one worker pool: a fixed set of
+//!   `workers` threads ([`AssessConfig::workers`](crate::config::AssessConfig))
+//!   pulls `(index, key)` jobs from one crossbeam MPMC channel and hands
+//!   every per-unit output back in work order. No work stealing, no
+//!   runtime: plain scoped threads, per the workspace threading policy.
+//!   The batch engine and the supervisor ([`crate::supervise`]) both run
+//!   on it.
 //! * **Contention-free reads** — workers share a read-only
 //!   [`KpiSource`]. For live stores, callers pass a
 //!   [`StoreSnapshot`](funnel_sim::store::StoreSnapshot)
 //!   (`MetricStore::snapshot()`), so the hot loop never takes a lock.
-//! * **Worker-local caching** — each worker owns an `AssessCache`
-//!   memoizing the control-group window fetches every treated item of the
-//!   same (group level, KPI kind) shares; see [`funnel_did::cache`].
-//! * **Deterministic merge** — results arrive in scheduling order, which is
-//!   *not* deterministic; [`merge`] re-keys them by `(entity, kpi)` into a
-//!   `BTreeMap`, so the final item list is byte-identical for any worker
-//!   count (1, 2, 8, 16, …). Errors are deterministic too: if several
-//!   workers fail, the error reported is the one for the lowest work-unit
-//!   index, whatever order the failures arrived in.
+//! * **One control-pool table per assessment** — every treated item at one
+//!   entity level contrasts against the same control group (§3.2.4), so
+//!   the pools belong to the assessment, not to a worker. `ControlPools`
+//!   holds one lazily built cell per distinct (control level, KPI kind) in
+//!   the work list, shared by `&` with every worker; each pool is fetched
+//!   exactly once, by whichever DiD lookup needs it first.
+//! * **Deterministic merge** — `fan_out` returns outputs in work order
+//!   whatever order the workers finished in, so the lowest-index error wins
+//!   for any worker count; [`merge`] then re-keys the items by
+//!   `(entity, kpi)` into a `BTreeMap`, so the final item list is
+//!   byte-identical for any worker count (1, 2, 8, 16, …).
 //!
 //! Nothing in this path reads the clock, iterates a hashed container, or
 //! panics — the `funnel-lint` determinism and no-panic lints gate this file
@@ -33,19 +38,16 @@
 use crate::pipeline::{Funnel, FunnelError, ItemAssessment};
 use crate::source::KpiSource;
 use crossbeam::channel;
-use funnel_did::cache::ControlCache;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_timeseries::mask::CoverageMask;
 use funnel_timeseries::series::TimeSeries;
 use funnel_topology::change::SoftwareChange;
 use funnel_topology::impact::{Entity, ImpactSet};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// Cache key for one control-group fetch: which control pool the treated
-/// entity contrasts against (see [`control_level`]) and the KPI kind.
-pub(crate) type ControlCacheKey = (u8, KpiKind);
-
-/// One memoized control-group window: the fetched member series with their
+/// One control group's DiD window: the fetched member series with their
 /// coverage masks, plus the group's mean coverage over the DiD periods.
 pub(crate) type ControlGroupWindow = (Vec<(TimeSeries, Option<CoverageMask>)>, f64);
 
@@ -59,33 +61,113 @@ pub(crate) fn control_level(entity: Entity) -> u8 {
     }
 }
 
-/// Worker-local assessment state. One per worker thread (or one total on
-/// the serial path); `&mut` access only, so workers never contend.
-#[derive(Debug, Default)]
-pub(crate) struct AssessCache {
-    /// Memoized control-group fetches, shared by every treated item whose
-    /// contrast uses the same (control pool, KPI kind).
-    pub(crate) control: ControlCache<ControlCacheKey, ControlGroupWindow>,
+/// The per-assessment control-pool table: one lazily built
+/// [`ControlGroupWindow`] per distinct `(control level, KPI kind)` of the
+/// work list, shared by every worker.
+///
+/// The table's shape is fixed before the fan-out and each cell is built at
+/// most once, so the pools built and the lookups served depend on the work
+/// list alone, never on which worker claimed which unit.
+#[derive(Debug)]
+pub(crate) struct ControlPools {
+    cells: BTreeMap<(u8, KpiKind), OnceLock<ControlGroupWindow>>,
+    lookups: AtomicU64,
 }
 
-impl AssessCache {
-    pub(crate) fn new() -> Self {
-        Self::default()
+impl ControlPools {
+    /// An empty cell for every distinct control pool `work` can ask for.
+    pub(crate) fn for_work(work: &[KpiKey]) -> Self {
+        let cells = work
+            .iter()
+            .map(|key| ((control_level(key.entity), key.kind), OnceLock::new()))
+            .collect();
+        Self {
+            cells,
+            lookups: AtomicU64::new(0),
+        }
+    }
+
+    /// The control pool `key` contrasts against, built with `build` on the
+    /// first lookup. `None` only for a key outside the table's work list.
+    pub(crate) fn get_or_build(
+        &self,
+        key: KpiKey,
+        build: impl FnOnce() -> ControlGroupWindow,
+    ) -> Option<&ControlGroupWindow> {
+        let cell = self.cells.get(&(control_level(key.entity), key.kind))?;
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        Some(cell.get_or_init(build))
+    }
+
+    /// Writes the table's tallies once the fan-out has joined: misses are
+    /// the pools built, hits the lookups an already-built pool served.
+    pub(crate) fn record_tallies(&self) {
+        let built = self.cells.values().filter(|c| c.get().is_some()).count() as u64;
+        let lookups = self.lookups.load(Ordering::Relaxed);
+        let window = funnel_obs::timeline::current_window();
+        funnel_obs::timeline_counter_add(
+            funnel_obs::names::CONTROL_CACHE_HITS,
+            window,
+            lookups.saturating_sub(built),
+        );
+        funnel_obs::timeline_counter_add(funnel_obs::names::CONTROL_CACHE_MISSES, window, built);
     }
 }
 
-/// Folds one worker's (or the serial path's) control-cache hit/miss tallies
-/// into the global counters once its assessment loop finishes. Counter
-/// addition commutes, so the totals are independent of worker scheduling.
-pub(crate) fn record_cache_stats(cache: &AssessCache) {
-    let stats = cache.control.stats();
+/// Runs `per_unit` on every work unit across `workers` threads (clamped to at
+/// least 1 and at most one per unit) and returns the outputs in work order.
+///
+/// With one worker the units run inline on the calling thread; otherwise
+/// all jobs are enqueued up front on an unbounded MPMC channel that scoped
+/// workers drain. Which worker ran which unit is scheduling-dependent; the
+/// returned order is not.
+pub(crate) fn fan_out<T: Send>(
+    work: &[KpiKey],
+    workers: usize,
+    per_unit: impl Fn(KpiKey) -> T + Sync,
+) -> Vec<T> {
+    let workers = workers.clamp(1, work.len().max(1));
     let window = funnel_obs::timeline::current_window();
-    funnel_obs::timeline_counter_add(funnel_obs::names::CONTROL_CACHE_HITS, window, stats.hits);
-    funnel_obs::timeline_counter_add(
-        funnel_obs::names::CONTROL_CACHE_MISSES,
+    funnel_obs::timeline_gauge_set(funnel_obs::names::WORKERS, window, workers as u64);
+    funnel_obs::timeline_histogram_record(
+        funnel_obs::names::WORK_QUEUE_DEPTH,
         window,
-        stats.misses,
+        work.len() as u64,
     );
+    if workers == 1 {
+        return work.iter().copied().map(&per_unit).collect();
+    }
+
+    let (job_tx, job_rx) = channel::unbounded::<(usize, KpiKey)>();
+    for job in work.iter().copied().enumerate() {
+        // Cannot fail: the receiver outlives the sends.
+        let _ = job_tx.send(job);
+    }
+    drop(job_tx);
+    let (result_tx, result_rx) = channel::unbounded::<(usize, T)>();
+    let per_unit = &per_unit;
+    std::thread::scope(|scope| {
+        for worker_idx in 0..workers {
+            let jobs = job_rx.clone();
+            let results = result_tx.clone();
+            scope.spawn(move || {
+                let worker_span =
+                    funnel_obs::span!(funnel_obs::names::SPAN_ASSESS_WORKER, worker_idx);
+                while let Ok((index, key)) = jobs.recv() {
+                    // Cannot fail: the receiver outlives the scope.
+                    let _ = results.send((index, per_unit(key)));
+                }
+                // Merge this worker's span buffer before the scoped thread
+                // exits — commutative merge, so flush order is unobservable.
+                drop(worker_span);
+                funnel_obs::flush_thread();
+            });
+        }
+    });
+    // Every worker has joined, so every output is already queued.
+    let mut outputs: Vec<(usize, T)> = std::iter::from_fn(|| result_rx.try_recv().ok()).collect();
+    outputs.sort_unstable_by_key(|(index, _)| *index);
+    outputs.into_iter().map(|(_, output)| output).collect()
 }
 
 /// Deterministically merges per-item results into the final report order.
@@ -120,13 +202,12 @@ pub fn merge(results: impl IntoIterator<Item = ItemAssessment>) -> Vec<ItemAsses
     by_key.into_values().collect()
 }
 
-/// Assesses every work unit of `work` against `source`, fanning out across
-/// `workers` threads when more than one is requested, and returns the items
-/// in merged (key-sorted) order.
+/// Assesses every work unit of `work` against `source` on the `fan_out`
+/// pool and returns the items in merged (key-sorted) order, or the error of
+/// the lowest-index failing unit.
 ///
-/// The serial path (`workers <= 1`, or a single work unit) runs the same
-/// enumerate → assess → [`merge`] sequence inline with one [`AssessCache`],
-/// so serial and parallel assessments cannot drift apart.
+/// One `ControlPools` table serves the whole work list and its tallies
+/// are written once, after the pool joins.
 pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     funnel: &Funnel,
     source: &S,
@@ -135,79 +216,12 @@ pub(crate) fn assess_work_units<S: KpiSource + Sync>(
     work: &[KpiKey],
     workers: usize,
 ) -> Result<Vec<ItemAssessment>, FunnelError> {
-    let workers = workers.clamp(1, work.len().max(1));
-    let window = funnel_obs::timeline::current_window();
-    funnel_obs::timeline_gauge_set(funnel_obs::names::WORKERS, window, workers as u64);
-    funnel_obs::timeline_histogram_record(
-        funnel_obs::names::WORK_QUEUE_DEPTH,
-        window,
-        work.len() as u64,
-    );
-    if workers == 1 {
-        let mut cache = AssessCache::new();
-        let mut items = Vec::with_capacity(work.len());
-        for &key in work {
-            items.push(funnel.assess_item(source, change, impact_set, key, &mut cache)?);
-        }
-        record_cache_stats(&cache);
-        return Ok(merge(items));
-    }
-
-    // All jobs are enqueued up front on an unbounded MPMC channel; workers
-    // drain it and exit when it disconnects (sender dropped below).
-    let (job_tx, job_rx) = channel::unbounded::<(usize, KpiKey)>();
-    for unit in work.iter().copied().enumerate() {
-        // Cannot fail: both receiver clones below outlive the sends.
-        let _ = job_tx.send(unit);
-    }
-    drop(job_tx);
-
-    let (result_tx, result_rx) =
-        channel::unbounded::<(usize, Result<ItemAssessment, FunnelError>)>();
-    let mut items: Vec<ItemAssessment> = Vec::with_capacity(work.len());
-    let mut first_error: Option<(usize, FunnelError)> = None;
-    std::thread::scope(|scope| {
-        for worker_idx in 0..workers {
-            let jobs = job_rx.clone();
-            let results = result_tx.clone();
-            scope.spawn(move || {
-                let worker_span =
-                    funnel_obs::span!(funnel_obs::names::SPAN_ASSESS_WORKER, worker_idx);
-                let mut cache = AssessCache::new();
-                while let Ok((index, key)) = jobs.recv() {
-                    let outcome = funnel.assess_item(source, change, impact_set, key, &mut cache);
-                    if results.send((index, outcome)).is_err() {
-                        break; // collector gone; nothing left to report to
-                    }
-                }
-                record_cache_stats(&cache);
-                // Merge this worker's span buffer before the scoped thread
-                // exits — commutative merge, so flush order is unobservable.
-                drop(worker_span);
-                funnel_obs::flush_thread();
-            });
-        }
-        drop(result_tx);
-        drop(job_rx);
-        // Collect until every worker has dropped its sender. Which worker
-        // produced which item is scheduling-dependent; merge() erases that.
-        while let Ok((index, outcome)) = result_rx.recv() {
-            match outcome {
-                Ok(item) => items.push(item),
-                Err(e) => {
-                    let is_earlier = first_error.as_ref().is_none_or(|(i, _)| index < *i);
-                    if is_earlier {
-                        first_error = Some((index, e));
-                    }
-                }
-            }
-        }
+    let pools = ControlPools::for_work(work);
+    let outcomes = fan_out(work, workers, |key| {
+        funnel.assess_item(source, change, impact_set, key, &pools)
     });
-
-    match first_error {
-        Some((_, e)) => Err(e),
-        None => Ok(merge(items)),
-    }
+    pools.record_tallies();
+    Ok(merge(outcomes.into_iter().collect::<Result<Vec<_>, _>>()?))
 }
 
 #[cfg(test)]

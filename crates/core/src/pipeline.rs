@@ -7,7 +7,7 @@
 //! seasonal history for affected-service KPIs (which have no cinstances).
 
 use crate::config::FunnelConfig;
-use crate::parallel::{self, control_level, AssessCache};
+use crate::parallel::{self, ControlPools};
 use crate::quality::{assess_quality, QualityConfig, QualityReport};
 use crate::source::KpiSource;
 use funnel_detect::detector::{ChangeEvent, DetectorRunner, MaskedRun};
@@ -409,7 +409,8 @@ impl Funnel {
         key: KpiKey,
     ) -> Result<ItemAssessment, FunnelError> {
         let impact_set = identify_impact_set(topology, change)?;
-        self.assess_item(source, change, &impact_set, key, &mut AssessCache::new())
+        let pools = ControlPools::for_work(&[key]);
+        self.assess_item(source, change, &impact_set, key, &pools)
     }
 
     /// Re-assesses a batch of impact-set KPIs of `change` through the same
@@ -443,16 +444,16 @@ impl Funnel {
     }
 
     /// Assesses one impact-set KPI: detection, then causality, both
-    /// tempered by how much of the window was really measured. `cache` is
-    /// the calling worker's memo state; it only ever holds values derived
-    /// from `source`, so any cache produces the same item.
+    /// tempered by how much of the window was really measured. `pools` is
+    /// the assessment's shared control-pool table; it only ever holds values
+    /// derived from `source`, so any table produces the same item.
     pub(crate) fn assess_item(
         &self,
         source: &impl KpiSource,
         change: &SoftwareChange,
         impact_set: &ImpactSet,
         key: KpiKey,
-        cache: &mut AssessCache,
+        pools: &ControlPools,
     ) -> Result<ItemAssessment, FunnelError> {
         let _span = funnel_obs::span!(funnel_obs::names::SPAN_ASSESS_ITEM);
         let series = source.series(&key).ok_or(FunnelError::MissingSeries(key))?;
@@ -519,7 +520,7 @@ impl Funnel {
                 },
             )
         } else if detection.is_some() {
-            match self.determine(source, change, impact_set, key, &series, mode, cache) {
+            match self.determine(source, change, impact_set, key, &series, mode, pools) {
                 Ok((v, est)) => {
                     let verdict = if v.is_caused() {
                         Verdict::Caused
@@ -637,7 +638,7 @@ impl Funnel {
         key: KpiKey,
         series: &TimeSeries,
         mode: AssessmentMode,
-        cache: &mut AssessCache,
+        pools: &ControlPools,
     ) -> Result<(DidVerdict, DidEstimate), DidError> {
         match mode {
             AssessmentMode::SeasonalHistory => {
@@ -653,32 +654,39 @@ impl Funnel {
                 // member whose measured fraction diverges across the change
                 // minute would bias the contrast and `assess_masked` drops
                 // it — and the group's mean coverage over the DiD periods
-                // are memoized in the worker-local cache.
+                // are built once per assessment in the shared pool table.
                 let period = self.config.did.period_minutes;
                 let did_from = change.minute.saturating_sub(period);
                 let did_to = change.minute + period + 1;
-                let group =
-                    cache
-                        .control
-                        .get_or_insert_with((control_level(key.entity), key.kind), || {
-                            let control_keys = control_keys_for(impact_set, key);
-                            let coverage = if control_keys.is_empty() {
-                                0.0
-                            } else {
-                                control_keys
-                                    .iter()
-                                    .map(|k| source.coverage(k, did_from, did_to))
-                                    // funnel-lint: allow(float-accumulation-order): Vec built in sorted impact-set order, no hashed container
-                                    .sum::<f64>()
-                                    / control_keys.len() as f64
-                            };
-                            let members: Vec<(TimeSeries, Option<CoverageMask>)> = control_keys
-                                .iter()
-                                .filter_map(|k| source.series(k).map(|s| (s, source.mask(k))))
-                                .collect();
-                            (members, coverage)
-                        });
-                let (control_members, ctl_coverage) = &*group;
+                let build = || {
+                    let control_keys = control_keys_for(impact_set, key);
+                    let coverage = if control_keys.is_empty() {
+                        0.0
+                    } else {
+                        control_keys
+                            .iter()
+                            .map(|k| source.coverage(k, did_from, did_to))
+                            // funnel-lint: allow(float-accumulation-order): Vec built in sorted impact-set order, no hashed container
+                            .sum::<f64>()
+                            / control_keys.len() as f64
+                    };
+                    let members: Vec<(TimeSeries, Option<CoverageMask>)> = control_keys
+                        .iter()
+                        .filter_map(|k| source.series(k).map(|s| (s, source.mask(k))))
+                        .collect();
+                    (members, coverage)
+                };
+                // A key outside the table's work list (not produced by the
+                // callers) builds its pool uncached.
+                let unpooled;
+                let group = match pools.get_or_build(key, build) {
+                    Some(group) => group,
+                    None => {
+                        unpooled = build();
+                        &unpooled
+                    }
+                };
+                let (control_members, ctl_coverage) = group;
                 // A contrast against a control group that was itself mostly
                 // gap-filled proves nothing: bail out (into the seasonal
                 // fallback below) when its coverage falls short.

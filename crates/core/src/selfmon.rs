@@ -32,7 +32,7 @@
 //! funnel_obs::disable();
 //! ```
 
-use funnel_detect::detector::DetectorRunner;
+use funnel_detect::detector::{ChangeEvent, DetectorRunner};
 use funnel_detect::sst_adapter::SstDetector;
 use funnel_obs::names;
 use funnel_obs::timeline::TimelineReport;
@@ -83,17 +83,6 @@ impl Default for SelfMonConfig {
     }
 }
 
-/// One declared behaviour change in a watched pipeline series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthAlert {
-    /// Minute the change was declared (persistence run completed).
-    pub declared_at: MinuteBin,
-    /// Detector's estimate of when the change became visible.
-    pub first_exceeded_at: MinuteBin,
-    /// Peak SST score during the persistent run.
-    pub peak_score: f64,
-}
-
 /// Health verdict for one watched series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesHealth {
@@ -105,7 +94,7 @@ pub struct SeriesHealth {
     pub total: u64,
     /// Declared behaviour changes, in declaration order. Empty means the
     /// series was flat enough (or too short to score).
-    pub alerts: Vec<HealthAlert>,
+    pub alerts: Vec<ChangeEvent>,
 }
 
 /// The "FUNNEL watches FUNNEL" report: one SST verdict per watched
@@ -233,16 +222,8 @@ pub fn run_selfmon(
         funnel_obs::counter_add(names::SELFMON_SERIES, 1);
         let series = timeline_series(report, name);
         let total: u64 = report.counter_series(name).iter().map(|(_, v)| v).sum();
-        let alerts: Vec<HealthAlert> = if series.len() >= config.sst.window_len() {
-            runner
-                .run(&series.normalized())
-                .into_iter()
-                .map(|e| HealthAlert {
-                    declared_at: e.declared_at,
-                    first_exceeded_at: e.first_exceeded_at,
-                    peak_score: e.peak_score,
-                })
-                .collect()
+        let alerts = if series.len() >= config.sst.window_len() {
+            runner.run(&series.normalized())
         } else {
             Vec::new()
         };
@@ -260,23 +241,30 @@ pub fn run_selfmon(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
-    fn synthetic_report(build: impl FnOnce()) -> TimelineReport {
-        funnel_obs::reset();
-        funnel_obs::enable();
-        build();
-        let snapshot = funnel_obs::timeline_snapshot();
-        funnel_obs::disable();
-        snapshot
+    /// A timeline holding only the given `(name, window, value)` counter
+    /// adds. Built directly, not through the process-global registry: the
+    /// other tests in this binary record into that registry concurrently.
+    fn synthetic_report(
+        adds: impl IntoIterator<Item = (&'static str, u64, u64)>,
+    ) -> TimelineReport {
+        let mut report = TimelineReport {
+            window_minutes: funnel_obs::timeline::WINDOW_MINUTES,
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            spans: BTreeMap::new(),
+        };
+        for (name, window, value) in adds {
+            *report.counters.entry((name, window)).or_default() += value;
+        }
+        report
     }
 
     #[test]
     fn flat_series_is_healthy() {
-        let report = synthetic_report(|| {
-            for minute in 0..120 {
-                funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, minute, 500);
-            }
-        });
+        let report = synthetic_report((0..120).map(|minute| (names::FRAMES_INGESTED, minute, 500)));
         let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
         assert!(health.healthy(), "flat ingest must not alert: {health:?}");
         assert_eq!(health.series.len(), 3);
@@ -286,17 +274,11 @@ mod tests {
 
     #[test]
     fn ingest_collapse_raises_an_alert() {
-        let report = synthetic_report(|| {
-            for minute in 0..120 {
-                // A partition at minute 60 silences ingest entirely.
-                let rate = if minute < 60 { 500 } else { 0 };
-                if rate > 0 {
-                    funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, minute, rate);
-                }
-                // Keep the snapshot range anchored past the silence.
-                funnel_obs::timeline_counter_add(names::STREAM_TICKS, minute, 1);
-            }
-        });
+        // A partition at minute 60 silences ingest entirely; the tick
+        // counter keeps the snapshot range anchored past the silence.
+        let ingest = (0..60).map(|minute| (names::FRAMES_INGESTED, minute, 500));
+        let ticks = (0..120).map(|minute| (names::STREAM_TICKS, minute, 1));
+        let report = synthetic_report(ingest.chain(ticks));
         let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
         let ingest = &health.series[0];
         assert_eq!(ingest.name, names::FRAMES_INGESTED);
@@ -318,10 +300,10 @@ mod tests {
 
     #[test]
     fn too_short_series_never_alerts() {
-        let report = synthetic_report(|| {
-            funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, 3, 1);
-            funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, 5, 900);
-        });
+        let report = synthetic_report([
+            (names::FRAMES_INGESTED, 3, 1),
+            (names::FRAMES_INGESTED, 5, 900),
+        ]);
         let health = run_selfmon(&report, &SelfMonConfig::default()).unwrap();
         assert!(health.healthy());
         assert_eq!(health.series[0].windows, 3);
@@ -329,11 +311,7 @@ mod tests {
 
     #[test]
     fn report_json_is_deterministic_and_versioned() {
-        let report = synthetic_report(|| {
-            for minute in 0..40 {
-                funnel_obs::timeline_counter_add(names::FRAMES_INGESTED, minute, 10);
-            }
-        });
+        let report = synthetic_report((0..40).map(|minute| (names::FRAMES_INGESTED, minute, 10)));
         let config = SelfMonConfig::default();
         let a = run_selfmon(&report, &config).unwrap().to_json();
         let b = run_selfmon(&report, &config).unwrap().to_json();

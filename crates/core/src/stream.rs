@@ -59,7 +59,7 @@ use crate::quality::{QualityIssue, QualityReport};
 use crate::source::KpiSource;
 use crate::supervise::splitmix64;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use funnel_detect::Persistence;
+use funnel_detect::{ChangeEvent, Persistence};
 use funnel_diag::DiagReport;
 use funnel_obs::names;
 use funnel_sim::kpi::{KpiKey, KpiKind};
@@ -156,12 +156,8 @@ pub enum StreamIngest {
 pub struct StreamDetection {
     /// Which KPI changed.
     pub key: KpiKey,
-    /// The minute the persistence rule declared the change.
-    pub declared_at: MinuteBin,
-    /// The minute the score first exceeded the threshold.
-    pub first_exceeded_at: MinuteBin,
-    /// Peak filtered SST score in the run.
-    pub peak_score: f64,
+    /// The persistence rule's declaration over the filtered SST scores.
+    pub event: ChangeEvent,
 }
 
 /// One item verdict on the streaming output channel.
@@ -422,12 +418,7 @@ fn score_key(
             .fold(value)
             .and_then(|score| monitor.rule.observe(minute, score))
         {
-            detections.push(StreamDetection {
-                key,
-                declared_at: event.declared_at,
-                first_exceeded_at: event.first_exceeded_at,
-                peak_score: event.peak_score,
-            });
+            detections.push(StreamDetection { key, event });
         }
         minute += 1;
     }
@@ -674,11 +665,11 @@ impl StreamEngine {
             self.stats.detections += 1;
             funnel_obs::timeline_counter_add(names::STREAM_DETECTIONS, minute, 1);
             for change in self.changes.iter_mut().filter(|c| !c.done) {
-                if d.declared_at >= change.record.minute
+                if d.event.declared_at >= change.record.minute
                     && change.work.binary_search(&d.key).is_ok()
                 {
-                    let first = change.first_detection.get_or_insert(d.declared_at);
-                    *first = (*first).min(d.declared_at);
+                    let first = change.first_detection.get_or_insert(d.event.declared_at);
+                    *first = (*first).min(d.event.declared_at);
                 }
             }
         }

@@ -5,8 +5,9 @@
 //! returns a clean [`FunnelError`]. Production ingest is less polite: a
 //! work unit can hit a transient source hiccup, stall past its deadline
 //! budget, or turn out to be *poisoned* — an input that makes the
-//! assessment code itself fall over, run after run. This module wraps the
-//! same worker-pool shape with a per-unit supervisor:
+//! assessment code itself fall over, run after run. This module runs on the
+//! same `parallel::fan_out` worker pool and control-pool table as the
+//! unsupervised engine, with a per-unit supervisor around each work unit:
 //!
 //! * **Retry** — failed attempts are re-run up to
 //!   [`SupervisorConfig::max_retries`] times on a capped exponential
@@ -37,13 +38,12 @@
 //! and the counters are seeded at zero on every run so they appear in the
 //! report even when no fault fires — the CI `chaos-smoke` step greps them.
 
-use crate::parallel::{self, AssessCache};
+use crate::parallel::{self, ControlPools};
 use crate::pipeline::{
     AssessmentMode, ChangeAssessment, DataQuality, Funnel, FunnelError, ItemAssessment, Verdict,
 };
 use crate::quality::{QualityIssue, QualityReport};
 use crate::source::KpiSource;
-use crossbeam::channel;
 use funnel_obs::names;
 use funnel_sim::kpi::{KpiKey, KpiKind};
 use funnel_sim::wire::key_to_bytes;
@@ -255,7 +255,7 @@ fn run_unit<S: KpiSource + Sync>(
     change: &SoftwareChange,
     impact_set: &ImpactSet,
     key: KpiKey,
-    cache: &mut AssessCache,
+    pools: &ControlPools,
     config: &SupervisorConfig,
     probe: &dyn FaultProbe,
 ) -> UnitRun {
@@ -265,13 +265,13 @@ fn run_unit<S: KpiSource + Sync>(
     for attempt in 0..=config.max_retries {
         // The probe runs inside the unwind boundary so a panicking probe
         // models a poisoned input crashing the assessment code itself. A
-        // panic can leave the worker cache mid-update, but cached windows
-        // are pure functions of the read-only source, so a partial entry
-        // is at worst absent, never wrong.
+        // panic while a control pool is being built leaves that pool's cell
+        // unset (the next lookup builds it), and pools are pure functions of
+        // the read-only source, so a retry never reads a wrong pool.
         let attempt_result = catch_unwind(AssertUnwindSafe(|| match probe.fault(&key, attempt) {
             Some(InjectedFault::Transient) => Attempt::Transient,
             Some(InjectedFault::Stall) => Attempt::Stalled,
-            None => Attempt::Finished(funnel.assess_item(source, change, impact_set, key, cache)),
+            None => Attempt::Finished(funnel.assess_item(source, change, impact_set, key, pools)),
         }));
         match attempt_result {
             Ok(Attempt::Finished(Ok(item))) => {
@@ -346,92 +346,38 @@ pub fn supervise_change<S: KpiSource + Sync>(
     let impact_set = identify_impact_set(topology, change)?;
     let work = crate::pipeline::enumerate_work_units(&impact_set, change, service_kinds);
     funnel_obs::timeline_gauge_set(names::WORK_UNITS_TOTAL, change.minute, work.len() as u64);
-    let workers = config.workers.clamp(1, work.len().max(1));
-    funnel_obs::timeline_gauge_set(names::WORKERS, change.minute, workers as u64);
-    funnel_obs::timeline_histogram_record(
-        names::WORK_QUEUE_DEPTH,
-        change.minute,
-        work.len() as u64,
-    );
-
     let abort_limit = config.abort_after_units.unwrap_or(u64::MAX);
     let completed = AtomicU64::new(0);
-    let mut runs: Vec<(usize, UnitRun)> = Vec::with_capacity(work.len());
-
-    if workers == 1 {
-        let mut cache = AssessCache::new();
-        for (index, &key) in work.iter().enumerate() {
-            if completed.load(Ordering::Relaxed) >= abort_limit {
-                break;
-            }
-            let run = run_unit(
-                funnel,
-                source,
-                change,
-                &impact_set,
-                key,
-                &mut cache,
-                config,
-                probe,
-            );
-            completed.fetch_add(1, Ordering::Relaxed);
-            runs.push((index, run));
+    let pools = ControlPools::for_work(&work);
+    let runs = parallel::fan_out(&work, config.workers, |key| {
+        if completed.load(Ordering::Relaxed) >= abort_limit {
+            return None;
         }
-        parallel::record_cache_stats(&cache);
-    } else {
-        let (job_tx, job_rx) = channel::unbounded::<(usize, KpiKey)>();
-        for unit in work.iter().copied().enumerate() {
-            // Cannot fail: both receiver clones below outlive the sends.
-            let _ = job_tx.send(unit);
-        }
-        drop(job_tx);
-        let (result_tx, result_rx) = channel::unbounded::<(usize, UnitRun)>();
-        let completed = &completed;
-        std::thread::scope(|scope| {
-            for worker_idx in 0..workers {
-                let jobs = job_rx.clone();
-                let results = result_tx.clone();
-                let impact_set = &impact_set;
-                scope.spawn(move || {
-                    let worker_span = funnel_obs::span!(names::SPAN_ASSESS_WORKER, worker_idx);
-                    let mut cache = AssessCache::new();
-                    while let Ok((index, key)) = jobs.recv() {
-                        if completed.load(Ordering::Relaxed) >= abort_limit {
-                            break;
-                        }
-                        let run = run_unit(
-                            funnel, source, change, impact_set, key, &mut cache, config, probe,
-                        );
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        if results.send((index, run)).is_err() {
-                            break; // collector gone; nothing left to report to
-                        }
-                    }
-                    parallel::record_cache_stats(&cache);
-                    drop(worker_span);
-                    funnel_obs::flush_thread();
-                });
-            }
-            drop(result_tx);
-            drop(job_rx);
-            while let Ok(run) = result_rx.recv() {
-                runs.push(run);
-            }
-        });
-    }
+        let run = run_unit(
+            funnel,
+            source,
+            change,
+            &impact_set,
+            key,
+            &pools,
+            config,
+            probe,
+        );
+        completed.fetch_add(1, Ordering::Relaxed);
+        Some(run)
+    });
+    pools.record_tallies();
 
-    let aborted = runs.len() < work.len();
-    let mut items: Vec<ItemAssessment> = Vec::with_capacity(runs.len());
-    let mut first_error: Option<(usize, FunnelError)> = None;
+    let aborted = runs.iter().any(Option::is_none);
+    let mut outcomes = Vec::with_capacity(runs.len());
     let mut report = SupervisorReport::default();
-    for (index, run) in runs {
+    for run in runs.into_iter().flatten() {
         report.retries += run.retries;
         report.restarts += run.restarts;
         if !run.backoff_ms.is_empty() {
             // One histogram sample per scheduled backoff sleep, attributed
-            // to the change minute. Recorded here on the aggregation
-            // thread, in runs order — the histogram fold commutes, so the
-            // result is worker-schedule independent.
+            // to the change minute. Recorded here on the calling thread, in
+            // work order, so the result is worker-schedule independent.
             for &ms in &run.backoff_ms {
                 funnel_obs::timeline_histogram_record(
                     names::SUPERVISOR_BACKOFF_MS,
@@ -441,19 +387,14 @@ pub fn supervise_change<S: KpiSource + Sync>(
             }
             report.backoff_ms.insert(run.key, run.backoff_ms);
         }
-        match run.outcome {
-            UnitOutcome::Done(item) => items.push(item),
+        outcomes.push(match run.outcome {
+            UnitOutcome::Done(item) => Ok(item),
             UnitOutcome::Quarantined(item) => {
                 report.quarantined.push(item.key);
-                items.push(item);
+                Ok(item)
             }
-            UnitOutcome::Failed(e) => {
-                let is_earlier = first_error.as_ref().is_none_or(|(i, _)| index < *i);
-                if is_earlier {
-                    first_error = Some((index, e));
-                }
-            }
-        }
+            UnitOutcome::Failed(e) => Err(e),
+        });
     }
     report.quarantined.sort_unstable();
     report.aborted = aborted;
@@ -467,18 +408,12 @@ pub fn supervise_change<S: KpiSource + Sync>(
     funnel_obs::timeline_counter_add(names::SUPERVISOR_RESTARTS, change.minute, report.restarts);
     drop(span);
 
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    let assessment = if aborted {
-        None
-    } else {
-        Some(ChangeAssessment {
-            change: change.id,
-            impact_set,
-            items: parallel::merge(items),
-        })
-    };
+    let items = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let assessment = (!aborted).then(|| ChangeAssessment {
+        change: change.id,
+        impact_set,
+        items: parallel::merge(items),
+    });
     Ok(Supervised { assessment, report })
 }
 

@@ -29,12 +29,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod estimator;
 pub mod groups;
 pub mod seasonal;
 
-pub use cache::{CacheStats, ControlCache};
 pub use estimator::{did_estimate, DidError, DidEstimate};
 pub use groups::{DidAssessor, DidConfig, DidVerdict};
 pub use seasonal::SeasonalControl;

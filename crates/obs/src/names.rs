@@ -37,9 +37,11 @@ pub const DETECT_CHANGE_POINTS: &str = "detect.change_points";
 /// Change points suppressed for bordering a partition-length coverage gap.
 pub const DETECT_GAP_SUPPRESSED: &str = "detect.gap_suppressed";
 
-/// Control-group window fetches answered from a worker's `ControlCache`.
+/// DiD control-pool lookups served by a pool the assessment had already
+/// built (lookups minus pools built; a function of the work list alone).
 pub const CONTROL_CACHE_HITS: &str = "assess.control_cache_hits";
-/// Control-group window fetches that had to build the window.
+/// Control pools built: at most one per distinct (control level, KPI kind)
+/// in an assessment's work list.
 pub const CONTROL_CACHE_MISSES: &str = "assess.control_cache_misses";
 
 /// Items assessed `Caused`.

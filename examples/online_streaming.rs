@@ -92,7 +92,7 @@ fn main() {
     for d in &declared {
         println!(
             "  {:?} declared at minute {} (score ran from minute {}, peak {:.2})",
-            d.key.entity, d.declared_at, d.first_exceeded_at, d.peak_score
+            d.key.entity, d.event.declared_at, d.event.first_exceeded_at, d.event.peak_score
         );
     }
     for a in &completed {
@@ -113,7 +113,7 @@ fn main() {
     assert!(
         declared
             .iter()
-            .filter(|d| (240..320).contains(&d.declared_at))
+            .filter(|d| (240..320).contains(&d.event.declared_at))
             .count()
             >= 2,
         "both leaking servers should be flagged during the ramp: {declared:?}"
